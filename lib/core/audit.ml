@@ -61,9 +61,3 @@ type t = {
   a_gadgets : gadget_rec list;
   a_funcs : func list;          (* successfully rewritten functions only *)
 }
-
-(* Address -> gadget claim map, the verifier's central lookup. *)
-let gadget_map t =
-  let h = Hashtbl.create (List.length t.a_gadgets) in
-  List.iter (fun g -> Hashtbl.replace h g.g_addr g) t.a_gadgets;
-  h

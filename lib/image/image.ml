@@ -83,15 +83,16 @@ let symbol_at t addr =
       && Int64.compare addr (Int64.add s.sym_addr (Int64.of_int s.sym_size)) < 0)
     t.symbols
 
+(* The section holding absolute address [addr], if any. *)
+let section_at t addr =
+  List.find_opt (fun s ->
+      Int64.compare s.sec_addr addr <= 0
+      && Int64.compare addr (section_end s) < 0)
+    t.sections
+
 (* Patch [len] bytes of [v] (little-endian) at absolute address [addr]. *)
 let patch t addr len v =
-  let s =
-    List.find_opt (fun s ->
-        Int64.compare s.sec_addr addr <= 0
-        && Int64.compare addr (section_end s) < 0)
-      t.sections
-  in
-  match s with
+  match section_at t addr with
   | None -> invalid_arg (Printf.sprintf "patch outside sections: 0x%Lx" addr)
   | Some s ->
     let off = Int64.to_int (Int64.sub addr s.sec_addr) in
@@ -101,15 +102,47 @@ let patch t addr len v =
     done
 
 let read_byte t addr =
-  let s =
-    List.find_opt (fun s ->
-        Int64.compare s.sec_addr addr <= 0
-        && Int64.compare addr (section_end s) < 0)
-      t.sections
-  in
-  match s with
+  match section_at t addr with
   | None -> None
   | Some s -> Some (Char.code (Bytes.get s.sec_data (Int64.to_int (Int64.sub addr s.sec_addr))))
+
+(* Little-endian 8-byte read: one section lookup when the word lies inside
+   one section, byte by byte when it straddles a section end.  None if any
+   of the 8 bytes lies outside every section. *)
+let read_u64 t addr =
+  match section_at t addr with
+  | None -> None
+  | Some s ->
+    let off = Int64.to_int (Int64.sub addr s.sec_addr) in
+    if off + 8 <= Bytes.length s.sec_data then
+      Some (Bytes.get_int64_le s.sec_data off)
+    else
+      let rec go i acc =
+        if i < 0 then Some acc
+        else
+          match read_byte t (Int64.add addr (Int64.of_int i)) with
+          | None -> None
+          | Some b ->
+            go (i - 1) (Int64.logor (Int64.shift_left acc 8) (Int64.of_int b))
+      in
+      go 7 0L
+
+(* The [len] bytes at [addr], in one pass over the sections; bytes outside
+   every section read as 0.  Where sections overlap, the first one in the
+   list wins, as with [read_byte]. *)
+let read_window t addr len =
+  let b = Bytes.make len '\000' in
+  let hi = Int64.add addr (Int64.of_int len) in
+  List.iter
+    (fun s ->
+       let lo' = Int64.max addr s.sec_addr
+       and hi' = Int64.min hi (section_end s) in
+       if Int64.compare lo' hi' < 0 then
+         Bytes.blit s.sec_data (Int64.to_int (Int64.sub lo' s.sec_addr))
+           b (Int64.to_int (Int64.sub lo' addr))
+           (Int64.to_int (Int64.sub hi' lo')))
+    (List.rev t.sections);
+  b
 
 (* Replace the body of a function in .text with [b], padding the remainder of
    the old body with invalid bytes (0x00), as the rewriter does when

@@ -39,6 +39,7 @@ open X86.Isa
 module R = Analysis.Regset
 module A = Ropc.Audit
 module F = Verify.Finding
+module I = Verify.Index
 
 (* --- flat int lattice ----------------------------------------------------- *)
 
@@ -271,8 +272,8 @@ module Cfix = Fixpoint.Make (Fixpoint.Int_node) (Chain_dom)
 type chain_ctx = {
   cc_func : A.func;
   cc_ss_addr : int64;
-  cc_slot8 : (int, Ropc.Chain.slot) Hashtbl.t;   (* 8-byte data/gadget slots *)
-  cc_gmap : (int64, A.gadget_rec) Hashtbl.t;
+  cc_ix : I.chain;
+  cc_gadgets : I.gadgets;
   cc_branch_targets : int list;   (* all disp/table label offsets, fallback *)
   cc_guard : (int, unit) Hashtbl.t;
   (* slot offsets owned by guard-bearing points (jcc terminator groups and
@@ -284,37 +285,8 @@ type chain_ctx = {
      successor set than the whole-function fallback *)
 }
 
-let chain_ctx (audit : A.t) (f : A.func) : chain_ctx =
-  let slot8 = Hashtbl.create 64 in
-  Array.iter
-    (fun (off, s) ->
-       match s with
-       | Ropc.Chain.S_gadget _ | Ropc.Chain.S_imm _ | Ropc.Chain.S_disp _
-       | Ropc.Chain.S_opaque _ | Ropc.Chain.S_opaque_dispatch _ ->
-         Hashtbl.replace slot8 off s
-       | Ropc.Chain.S_label _ | Ropc.Chain.S_anchor _ | Ropc.Chain.S_skew _ ->
-         ())
-    f.A.f_layout;
-  let label_off name = List.assoc_opt name f.A.f_labels in
-  let targets = ref [] in
-  Array.iter
-    (fun (_, s) ->
-       match s with
-       | Ropc.Chain.S_disp { target; _ } ->
-         (match label_off target with
-          | Some t -> targets := t :: !targets
-          | None -> ())
-       | _ -> ())
-    f.A.f_layout;
-  List.iter
-    (fun (_, _, ts) ->
-       List.iter
-         (fun t ->
-            match label_off t with
-            | Some o -> targets := o :: !targets
-            | None -> ())
-         ts)
-    f.A.f_tables;
+let chain_ctx (audit : A.t) (gadgets : I.gadgets) (f : A.func) : chain_ctx =
+  let ix = I.chain f in
   let guard = Hashtbl.create 16 in
   List.iter
     (fun (p : A.point) ->
@@ -334,16 +306,16 @@ let chain_ctx (audit : A.t) (f : A.func) : chain_ctx =
   let tables = Hashtbl.create 4 in
   List.iter
     (fun (_, anchor, ts) ->
-       match label_off anchor with
+       match I.label ix anchor with
        | None -> ()
        | Some aoff ->
-         Hashtbl.replace tables aoff (List.filter_map label_off ts))
+         Hashtbl.replace tables aoff (List.filter_map (I.label ix) ts))
     f.A.f_tables;
   { cc_func = f;
     cc_ss_addr = audit.A.a_ss_addr;
-    cc_slot8 = slot8;
-    cc_gmap = A.gadget_map audit;
-    cc_branch_targets = List.sort_uniq compare !targets;
+    cc_ix = ix;
+    cc_gadgets = gadgets;
+    cc_branch_targets = List.sort_uniq compare ix.I.targets;
     cc_guard = guard;
     cc_tables = tables }
 
@@ -362,18 +334,17 @@ let av_addr regs (m : mem) =
       | _ -> Unknown)
 
 (* One gadget's transfer: simulate its instructions against the chain
-   layout, producing the successor offsets.  [emit] is a no-op while the
-   fixpoint iterates and a real sink during the deterministic findings
-   sweep, so diagnostics come out once per reached offset. *)
-let sim (ctx : chain_ctx) ~emit off (st0 : Chain_dom.t) =
+   layout, producing the successor offsets and the findings of this
+   transfer, in emission order. *)
+let sim (ctx : chain_ctx) off (st0 : Chain_dom.t) =
   let f = ctx.cc_func in
-  match Hashtbl.find_opt ctx.cc_slot8 off with
+  match I.slot8 ctx.cc_ix off with
   | None
   | Some (Ropc.Chain.S_imm _ | Ropc.Chain.S_disp _ | Ropc.Chain.S_opaque _)
     ->
     (* execution reaching a data slot / hole is ropcheck's Chain_bad_slot;
        do not duplicate it here, just cut the path *)
-    []
+    ([], [])
   | Some (Ropc.Chain.S_label _ | Ropc.Chain.S_anchor _ | Ropc.Chain.S_skew _)
     ->
     invalid_arg
@@ -390,9 +361,11 @@ let sim (ctx : chain_ctx) ~emit off (st0 : Chain_dom.t) =
       | Ropc.Chain.S_opaque_dispatch { od_target; _ } -> od_target
       | _ -> assert false
     in
-    match Hashtbl.find_opt ctx.cc_gmap ga with
-    | None -> []   (* ropcheck's Chain_unknown_gadget *)
-    | Some grec ->
+    match I.gadget ctx.cc_gadgets ga with
+    | None -> ([], [])   (* ropcheck's Chain_unknown_gadget *)
+    | Some g ->
+      let findings = ref [] in
+      let emit d = findings := d :: !findings in
       let delta = ref st0.Chain_dom.delta
       and idx = ref st0.Chain_dom.idx
       and regs = Array.copy st0.Chain_dom.regs in
@@ -465,7 +438,7 @@ let sim (ctx : chain_ctx) ~emit off (st0 : Chain_dom.t) =
           ()   (* switch-call park; net cell effect applied at the ending *)
         | Pop (Reg RSP) -> stopped := true
         | Pop (Reg r) ->
-          (match Hashtbl.find_opt ctx.cc_slot8 !cursor with
+          (match I.slot8 ctx.cc_ix !cursor with
            | Some (Ropc.Chain.S_imm v) -> set r (Cst v)
            | Some (Ropc.Chain.S_gadget a) -> set r (Cst a)
            | Some (Ropc.Chain.S_opaque { oq_value; oq_residue; oq_mult; _ })
@@ -479,7 +452,7 @@ let sim (ctx : chain_ctx) ~emit off (st0 : Chain_dom.t) =
              set r (Cst od_jop)
            | Some (Ropc.Chain.S_disp { target; _ }) ->
              set r
-               (match List.assoc_opt target f.A.f_labels with
+               (match I.label ctx.cc_ix target with
                 | Some t -> Disps [ t ]
                 | None -> Unknown)
            | _ ->
@@ -610,11 +583,9 @@ let sim (ctx : chain_ctx) ~emit off (st0 : Chain_dom.t) =
            | _ -> ())
         | i -> havoc i
       in
-      let instrs = Gadget.instrs grec.A.g_gadget in
-      List.iter (fun i -> if not !stopped then step_instr i) instrs;
-      let ending = (Verify.Summary.of_instrs instrs).Verify.Summary.ending in
+      List.iter (fun i -> if not !stopped then step_instr i) g.I.g_instrs;
       if not !stopped then begin
-        match ending with
+        match g.I.g_summary.Verify.Summary.ending with
         | Verify.Summary.End_ret -> succs := [ !cursor ]
         | Verify.Summary.End_switch_call ->
           (* native_call pre-decremented the cell by 8 to plant the
@@ -629,38 +600,41 @@ let sim (ctx : chain_ctx) ~emit off (st0 : Chain_dom.t) =
       let st' =
         { Chain_dom.delta = !delta; idx = !idx; regs }
       in
-      List.map (fun o -> (o, st')) (List.sort_uniq compare !succs)
+      ( List.map (fun o -> (o, st')) (List.sort_uniq compare !succs),
+        List.rev !findings )
 
 let chain_entry : Chain_dom.t =
   { delta = Known 0; idx = Known 0; regs = Array.make 16 Unknown }
 
-(* Run the chain analysis for one rewritten function. *)
-let chain_func (audit : A.t) (f : A.func) : F.t list * Fixpoint.stats =
-  let ctx = chain_ctx audit f in
+(* Run the chain analysis for one rewritten function.  The worklist
+   re-queues a node on every change to its state, so a node's last transfer
+   runs on its final state: the findings of that transfer are the node's
+   findings, and no second pass over the solved states is needed. *)
+let chain_func (audit : A.t) (gadgets : I.gadgets) (f : A.func)
+  : F.t list * Fixpoint.stats =
+  let ctx = chain_ctx audit gadgets f in
+  let last = Hashtbl.create 64 in
   let r =
     Cfix.solve
       ~entries:[ (0, chain_entry) ]
-      ~transfer:(fun off st -> sim ctx ~emit:(fun _ -> ()) off st)
+      ~transfer:(fun off st ->
+          let succs, findings = sim ctx off st in
+          Hashtbl.replace last off findings;
+          succs)
       ()
   in
-  (* deterministic findings sweep over the solved states *)
-  let findings = ref [] in
-  let reached =
-    Cfix.H.fold (fun off _ acc -> off :: acc) r.Cfix.state []
-    |> List.sort compare
+  let findings =
+    Hashtbl.fold (fun off fs acc -> (off, fs) :: acc) last []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.concat_map snd
   in
-  List.iter
-    (fun off ->
-       match Cfix.H.find_opt r.Cfix.state off with
-       | None -> ()
-       | Some st ->
-         ignore (sim ctx ~emit:(fun d -> findings := d :: !findings) off st))
-    reached;
-  (List.rev !findings, r.Cfix.stats)
+  (findings, r.Cfix.stats)
 
 let chain_pass (audit : A.t) : F.t list * (string * Fixpoint.stats) list =
+  let gadgets = I.gadgets audit in
   let per =
-    List.map (fun f -> (f.A.f_name, chain_func audit f)) audit.A.a_funcs
+    List.map (fun f -> (f.A.f_name, chain_func audit gadgets f))
+      audit.A.a_funcs
   in
   ( List.concat_map (fun (_, (fs, _)) -> fs) per,
     List.map (fun (n, (_, st)) -> (n, st)) per )

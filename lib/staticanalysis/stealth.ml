@@ -49,11 +49,8 @@ let pool_signals (img : Image.t) ~lo ~hi =
   let len = Int64.to_int (Int64.sub hi lo) in
   if len <= 0 then (0.0, 0.0)
   else begin
-    let byte i =
-      match Image.read_byte img (Int64.add lo (Int64.of_int i)) with
-      | Some b -> b
-      | None -> 0
-    in
+    let pool = Image.read_window img lo len in
+    let byte i = Char.code (Bytes.get pool i) in
     let max_window = ref 0 and rets = ref 0 and popret = ref 0 in
     let window = 64 in
     let in_window = ref 0 in

@@ -212,13 +212,7 @@ type compared = {
 
 let compared_state ~(orig_img : Image.t) ~private_filter (p : A.point)
     (st : S.t) =
-  let inside_orig a =
-    List.exists
-      (fun s ->
-         Int64.compare s.Image.sec_addr a <= 0
-         && Int64.compare a (Image.section_end s) < 0)
-      orig_img.Image.sections
-  in
+  let inside_orig a = Image.section_at orig_img a <> None in
   let writes =
     S.full_write_log st.S.mem
     |> List.filter (fun (addr, _, _) ->
@@ -330,24 +324,21 @@ let resolve_ctrl (f : A.func) e =
    dispatch slot just consumed sits 8 bytes below the current rsp; its
    audited target is what the recovery produces (ropcheck's byte check
    already ties the stored residual to the array's ground truth), so the
-   jump resolves from the layout. *)
-let resolve_dispatch (f : A.func) (st : S.t) =
+   jump resolves from the layout.  [ix] is the function's chain index,
+   built on the first dispatch that needs it. *)
+let resolve_dispatch (f : A.func) (ix : Verify.Index.chain Lazy.t) (st : S.t) =
   match S.get st RSP with
   | E.Const rsp ->
     let off = Int64.to_int (Int64.sub rsp f.A.f_chain_base) - 8 in
-    Array.fold_left
-      (fun acc (o, s) ->
-         match acc, s with
-         | None, Ropc.Chain.S_opaque_dispatch { od_target; _ } when o = off ->
-           Some od_target
-         | acc, _ -> acc)
-      None f.A.f_layout
+    (match Verify.Index.slot8 (Lazy.force ix) off with
+     | Some (Ropc.Chain.S_opaque_dispatch { od_target; _ }) -> Some od_target
+     | _ -> None)
   | _ -> None
 
 (* Execute the region's chain slots: start "mid-ret" onto the first gadget
    slot and run until the pending instruction is the terminal ret that
    would pop the next region's first slot. *)
-let run_chain ~mem ~decode_cache (f : A.func) (p : A.point) =
+let run_chain ~mem ~decode_cache ~ix (f : A.func) (p : A.point) =
   match region_bounds p with
   | None, _ -> Error "region has no gadget slot"
   | Some (entry_off, g0), end_off ->
@@ -371,7 +362,7 @@ let run_chain ~mem ~decode_cache (f : A.func) (p : A.point) =
                   st.S.rip <- v;
                   go (steps + 1)
                 | None -> (
-                    match resolve_dispatch f st with
+                    match resolve_dispatch f ix st with
                     | Some v ->
                       st.S.rip <- v;
                       go (steps + 1)
@@ -384,7 +375,7 @@ let run_chain ~mem ~decode_cache (f : A.func) (p : A.point) =
     in
     go 0
 
-let validate_region ~orig_img ~orig_mem ~rw_mem ~decode_orig ~decode_rw
+let validate_region ~orig_img ~orig_mem ~rw_mem ~decode_orig ~decode_rw ~ix
     (f : A.func) (p : A.point) (i : instr) =
   (* original side: one instruction from a non-interfering rsp *)
   let orig_st = init_state orig_mem p.A.p_addr Image.stack_top in
@@ -393,7 +384,7 @@ let validate_region ~orig_img ~orig_mem ~rw_mem ~decode_orig ~decode_rw
     Unproven "original instruction is a control transfer"
   | S.O_fault m -> Unproven ("original instruction faulted symbolically: " ^ m)
   | S.O_ok -> (
-      match run_chain ~mem:rw_mem ~decode_cache:decode_rw f p with
+      match run_chain ~mem:rw_mem ~decode_cache:decode_rw ~ix f p with
       | Error reason -> Unproven reason
       | Ok chain_st ->
         let a =
@@ -437,6 +428,7 @@ let run ~(orig : Image.t) ~(rewritten : Image.t) (audit : A.t) : result =
   List.iter
     (fun (f : A.func) ->
        let decode_rw = Hashtbl.create 256 in
+       let ix = lazy (Verify.Index.chain f) in
        let record (p : A.point) ~desc verdict =
          (match verdict with
           | Unproven reason
@@ -485,7 +477,7 @@ let run ~(orig : Image.t) ~(rewritten : Image.t) (audit : A.t) : result =
                         let verdict =
                           try
                             validate_region ~orig_img:orig ~orig_mem ~rw_mem
-                              ~decode_orig ~decode_rw f hp i
+                              ~decode_orig ~decode_rw ~ix f hp i
                           with S.Sym_fault m ->
                             Unproven ("symbolic fault: " ^ m)
                         in
@@ -504,7 +496,7 @@ let run ~(orig : Image.t) ~(rewritten : Image.t) (audit : A.t) : result =
                     let verdict =
                       try
                         validate_region ~orig_img:orig ~orig_mem ~rw_mem
-                          ~decode_orig ~decode_rw f p i
+                          ~decode_orig ~decode_rw ~ix f p i
                       with S.Sym_fault m ->
                         Unproven ("symbolic fault: " ^ m)
                     in

@@ -19,33 +19,14 @@
 
 module R = Analysis.Regset
 module A = Ropc.Audit
+module I = Index
 open X86.Isa
-
-(* --- image helpers -------------------------------------------------------- *)
-
-let section_of_addr (img : Image.t) addr =
-  List.find_opt
-    (fun s ->
-       Int64.compare s.Image.sec_addr addr <= 0
-       && Int64.compare addr (Image.section_end s) < 0)
-    img.Image.sections
-
-let read64 img addr =
-  let rec go i acc =
-    if i < 0 then Some acc
-    else
-      match Image.read_byte img (Int64.add addr (Int64.of_int i)) with
-      | None -> None
-      | Some b ->
-        go (i - 1) (Int64.logor (Int64.shift_left acc 8) (Int64.of_int b))
-  in
-  go 7 0L
 
 (* --- pass 1: gadget summaries --------------------------------------------- *)
 
 (* Decode [n] instructions from the image starting at [addr]. *)
 let decode_at img addr n =
-  match section_of_addr img addr with
+  match Image.section_at img addr with
   | None -> None
   | Some s ->
     let off0 = Int64.to_int (Int64.sub addr s.Image.sec_addr) in
@@ -67,14 +48,13 @@ let rec reads_flags_first = function
     else if Analysis.Reguse.clobbers_flags i then false
     else reads_flags_first rest
 
-let gadget_pass img (audit : A.t) =
+(* Check every gadget claim of the audit; [gt] is its gadget table, which
+   holds the summaries the later passes replay. *)
+let gadget_pass img (audit : A.t) (gt : I.gadgets) =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
-  let summaries = Hashtbl.create (List.length audit.A.a_gadgets) in
   List.iter
-    (fun (g : A.gadget_rec) ->
-       let claimed = Gadget.instrs g.A.g_gadget in
-       Hashtbl.replace summaries g.A.g_addr (Summary.of_instrs claimed);
+    (fun { I.g_rec = g; g_instrs = claimed; g_summary = s } ->
        (* the claimed body must be what the image actually decodes to *)
        (match decode_at img g.A.g_addr (List.length claimed) with
         | None ->
@@ -91,7 +71,6 @@ let gadget_pass img (audit : A.t) =
        (* ending class sanity: a ret-gadget must end in ret; a jop gadget in
           jmp-reg (the shared funcret gadget legitimately ends in ret after
           an rsp exchange, so accept both there) *)
-       let s = Summary.of_instrs claimed in
        (match g.A.g_gadget.Gadget.ending, s.Summary.ending with
         | Gadget.E_ret, Summary.End_ret -> ()
         | Gadget.E_jop _,
@@ -137,12 +116,12 @@ let gadget_pass img (audit : A.t) =
            (Diag.make ~addr:g.A.g_addr Diag.Gadget_outside_pool
               (Printf.sprintf "synthesized gadget outside pool [%Lx, %Lx)"
                  audit.A.a_pool_lo audit.A.a_pool_hi)))
-    audit.A.a_gadgets;
-  (List.rev !diags, summaries)
+    gt.I.all;
+  List.rev !diags
 
 (* --- pass 2: chain typechecking ------------------------------------------- *)
 
-let chain_pass img summaries (f : A.func) =
+let chain_pass img gt (ix : I.chain) (f : A.func) =
   let diags = ref [] in
   let emit ?severity ?addr ?chain_off kind msg =
     diags :=
@@ -150,23 +129,12 @@ let chain_pass img summaries (f : A.func) =
       :: !diags
   in
   let chain_addr off = Int64.add f.A.f_chain_base (Int64.of_int off) in
-  (* index the layout: 8-byte data slots and skew gaps, by chain offset *)
-  let slot8 = Hashtbl.create 64 and skew_at = Hashtbl.create 8 in
-  Array.iter
-    (fun (off, s) ->
-       match s with
-       | Ropc.Chain.S_gadget _ | Ropc.Chain.S_imm _ | Ropc.Chain.S_disp _
-       | Ropc.Chain.S_opaque _ | Ropc.Chain.S_opaque_dispatch _ ->
-         Hashtbl.replace slot8 off s
-       | Ropc.Chain.S_skew eta -> Hashtbl.replace skew_at off eta
-       | Ropc.Chain.S_label _ | Ropc.Chain.S_anchor _ -> ())
-    f.A.f_layout;
-  let label_off name = List.assoc_opt name f.A.f_labels in
+  let slot8 = ix.I.slot8 and label_off = I.label ix in
   (* (a) byte check: every materialized slot must hold its symbolic value *)
   Array.iter
     (fun (off, s) ->
        let expect v =
-         match read64 img (chain_addr off) with
+         match Image.read_u64 img (chain_addr off) with
          | Some actual when Int64.equal actual v -> ()
          | Some actual ->
            emit ~addr:(chain_addr off) ~chain_off:off Diag.Chain_byte_mismatch
@@ -222,7 +190,7 @@ let chain_pass img summaries (f : A.func) =
          let cell =
            Int64.add base (Int64.of_int (8 * ((i * p1.Ropc.Config.s) + c)))
          in
-         match read64 img cell with
+         match Image.read_u64 img cell with
          | None ->
            emit ~addr:cell Diag.Chain_p1_invariant
              "P1 array cell outside every section"
@@ -241,28 +209,10 @@ let chain_pass img summaries (f : A.func) =
   let visited = Hashtbl.create 64 in   (* executed gadget-slot offsets *)
   let consumed = Hashtbl.create 64 in  (* slots popped as data *)
   let queue = Queue.create () in
-  Queue.add 0 queue;
-  Array.iter
-    (fun (_, s) ->
-       match s with
-       | Ropc.Chain.S_disp { target; _ } ->
-         (match label_off target with
-          | Some t -> Queue.add t queue
-          | None -> ())
-       | _ -> ())
-    f.A.f_layout;
-  List.iter
-    (fun (_, _, targets) ->
-       List.iter
-         (fun t ->
-            match label_off t with
-            | Some o -> Queue.add o queue
-            | None -> ())
-         targets)
-    f.A.f_tables;
+  List.iter (fun o -> Queue.add o queue) (0 :: ix.I.targets);
   (* consume [k] bytes of chain at [cur]; true if the layout supports it *)
   let skippable cur k =
-    match Hashtbl.find_opt skew_at cur with
+    match Hashtbl.find_opt ix.I.skew cur with
     | Some eta -> eta = k
     | None ->
       (* no skew: only whole 8-byte slots may be skipped *)
@@ -299,24 +249,24 @@ let chain_pass img summaries (f : A.func) =
           emit ~chain_off:off Diag.Chain_bad_slot
             "execution lands on a data slot, not a gadget address"
       | Some (Ropc.Chain.S_gadget a) ->
-        (match Hashtbl.find_opt summaries a with
+        (match I.gadget gt a with
          | None ->
            if not spec then
              emit ~chain_off:off ~addr:a Diag.Chain_unknown_gadget
                (Printf.sprintf "slot points at %Lx, not a known gadget" a)
-         | Some (s : Summary.t) -> exec_summary ~spec off a s)
+         | Some { I.g_summary = s; _ } -> exec_summary ~spec off a s)
       | Some (Ropc.Chain.S_opaque_dispatch { od_jop; od_target }) ->
         (* the slot holds a jmp-reg trampoline; the register it jumps
            through was recovered opaquely and carries [od_target], whose
            own ret continues the chain.  Walk the target's summary as if
            its address sat in the slot. *)
-        (match Hashtbl.find_opt summaries od_jop with
+        (match I.gadget gt od_jop with
          | None ->
            if not spec then
              emit ~chain_off:off ~addr:od_jop Diag.Chain_unknown_gadget
                (Printf.sprintf
                   "dispatch slot points at %Lx, not a known gadget" od_jop)
-         | Some (j : Summary.t) ->
+         | Some { I.g_summary = j; _ } ->
            let stackless =
              List.for_all
                (function
@@ -333,14 +283,15 @@ let chain_pass img summaries (f : A.func) =
                      jmp-reg gadget" od_jop)
            end
            else
-             match Hashtbl.find_opt summaries od_target with
+             match I.gadget gt od_target with
              | None ->
                if not spec then
                  emit ~chain_off:off ~addr:od_target Diag.Chain_unknown_gadget
                    (Printf.sprintf
                       "opaque dispatch targets %Lx, not a known gadget"
                       od_target)
-             | Some (s : Summary.t) -> exec_summary ~spec off od_target s)
+             | Some { I.g_summary = s; _ } ->
+               exec_summary ~spec off od_target s)
       | Some ((Ropc.Chain.S_label _ | Ropc.Chain.S_anchor _
               | Ropc.Chain.S_skew _) as s) ->
         (* zero-width markers share offsets with data slots and are filtered
@@ -422,15 +373,15 @@ let chain_pass img summaries (f : A.func) =
 
 (* --- pass 3: clobber validation ------------------------------------------- *)
 
-let clobber_pass summaries (f : A.func) =
+let clobber_pass gt (f : A.func) =
   let diags = ref [] in
   List.iter
     (fun (p : A.point) ->
        let clobbered = ref R.empty and flags_dirty = ref false in
        let absorb a =
-         match Hashtbl.find_opt summaries a with
+         match I.gadget gt a with
          | None -> ()    (* pass 2 already reported it *)
-         | Some (su : Summary.t) ->
+         | Some { I.g_summary = su; _ } ->
            clobbered := R.union !clobbered su.Summary.writes;
            if su.Summary.flags_dirty then flags_dirty := true
            else if su.Summary.flags_written then flags_dirty := false
@@ -468,7 +419,7 @@ let clobber_pass summaries (f : A.func) =
 
 (* --- pass 4: image layout ------------------------------------------------- *)
 
-let layout_pass img (audit : A.t) (f : A.func) =
+let layout_pass img (audit : A.t) (ix : I.chain) (f : A.func) =
   let diags = ref [] in
   let emit ?addr kind msg =
     diags := Diag.make ~func:f.A.f_name ?addr kind msg :: !diags
@@ -515,15 +466,11 @@ let layout_pass img (audit : A.t) (f : A.func) =
   (* jump tables: each 8-byte entry must equal off(target) - off(anchor) and
      deliver RSP to a gadget slot *)
   let slot8_gadget off =
-    Array.exists
-      (fun (o, s) ->
-         o = off
-         && match s with Ropc.Chain.S_gadget _ -> true | _ -> false)
-      f.A.f_layout
+    match I.slot8 ix off with Some (Ropc.Chain.S_gadget _) -> true | _ -> false
   in
   List.iter
     (fun (table_addr, anchor, targets) ->
-       match List.assoc_opt anchor f.A.f_labels with
+       match I.label ix anchor with
        | None ->
          emit ~addr:table_addr Diag.Layout_table_entry
            ("jump-table anchor " ^ anchor ^ " is not a chain label")
@@ -531,13 +478,13 @@ let layout_pass img (audit : A.t) (f : A.func) =
          List.iteri
            (fun i target ->
               let entry = Int64.add table_addr (Int64.of_int (8 * i)) in
-              match List.assoc_opt target f.A.f_labels with
+              match I.label ix target with
               | None ->
                 emit ~addr:entry Diag.Layout_table_entry
                   ("jump-table target " ^ target ^ " is not a chain label")
               | Some toff ->
                 let expected = Int64.of_int (toff - aoff) in
-                (match read64 img entry with
+                (match Image.read_u64 img entry with
                  | Some v when Int64.equal v expected -> ()
                  | Some v ->
                    emit ~addr:entry Diag.Layout_table_entry
@@ -580,13 +527,13 @@ let sections_pass (img : Image.t) =
 (* --- driver ---------------------------------------------------------------- *)
 
 let run img (audit : A.t) =
-  let gdiags, summaries = gadget_pass img audit in
+  let gt = I.gadgets audit in
+  let gdiags = gadget_pass img audit gt in
   let per_func =
     List.concat_map
       (fun f ->
-         chain_pass img summaries f
-         @ clobber_pass summaries f
-         @ layout_pass img audit f)
+         let ix = I.chain f in
+         chain_pass img gt ix f @ clobber_pass gt f @ layout_pass img audit ix f)
       audit.A.a_funcs
   in
   gdiags @ per_func @ sections_pass img

@@ -1,4 +1,5 @@
-(* lib/staticanalysis: the fixpoint engine's convergence contract, the
+(* lib/staticanalysis: the fixpoint engine's convergence contract and its
+   last-transfer invariant, the chain index's label table, the
    stack-discipline pass's ability to catch a seeded pivot bug, translation
    validation on directly-lowered regions, and stealth/pool-bloat smoke. *)
 
@@ -61,6 +62,135 @@ let test_divergence_backstop () =
   | exception FP.Divergence msg ->
     Alcotest.(check bool) "message names the backstop" true
       (String.length msg > 0)
+
+(* Stackdisc keeps each node's findings from its last transfer instead of
+   re-running the transfer over the solved states.  That rests on this
+   invariant of the worklist: every reached node is transferred at least
+   once, and the last transfer of a node runs on the node's final state.
+   Checked over random small graphs with a flat domain (joins only) and
+   with the counting domain above, whose cycles need widening.  The
+   qcheck seed is pinned and printed; QCHECK_SEED=<n> overrides it. *)
+let qcheck_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some s -> s
+  | None -> 12
+
+module Flat = struct
+  type t = SD.v
+  let equal = ( = )
+  let join = SD.v_join
+  let widen _old joined = joined
+end
+
+module FFP = FP.Make (FP.Int_node) (Flat)
+
+(* a graph: per node, its (successor, edge weight) list *)
+let gen_graph =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun n ->
+    array_size (return n)
+      (list_size (int_range 0 3) (pair (int_range 0 (n - 1)) (int_range 0 2))))
+
+let arb_graph =
+  QCheck.make gen_graph
+    ~print:(fun g ->
+        String.concat "; "
+          (Array.to_list
+             (Array.mapi
+                (fun i es ->
+                   Printf.sprintf "%d->[%s]" i
+                     (String.concat ","
+                        (List.map (fun (s, w) -> Printf.sprintf "%d/+%d" s w)
+                           es)))
+                g)))
+
+(* graphs on which some node was transferred more than once, and on which
+   widening fired: a property run that saw none of either checked nothing *)
+let retransferred = ref 0 and widened = ref 0
+
+(* Solve [g] from node 0, recording every transfer's input state, and
+   check the recorded state of each node against its solved one.  [solve]
+   returns the solved (node, state) pairs and the solver's stats. *)
+let last_transfer_holds ~solve ~equal ~add entry g =
+  let last = Hashtbl.create 8 in
+  let solved, (stats : FP.stats) =
+    solve ~entries:[ (0, entry) ] ~transfer:(fun n st ->
+        Hashtbl.replace last n st;
+        List.map (fun (m, w) -> (m, add st w)) g.(n))
+  in
+  if stats.FP.iterations > stats.FP.nodes then incr retransferred;
+  if stats.FP.widenings > 0 then incr widened;
+  Hashtbl.length last = List.length solved
+  && List.for_all
+       (fun (n, final) ->
+          match Hashtbl.find_opt last n with
+          | Some st -> equal st final
+          | None -> false)
+       solved
+
+let prop_last_transfer_flat =
+  QCheck.Test.make ~count:500
+    ~name:"last transfer carries the final state (flat domain)" arb_graph
+    (fun g ->
+       last_transfer_holds ~equal:Flat.equal ~add:SD.v_add (SD.Known 0) g
+         ~solve:(fun ~entries ~transfer ->
+             let r = FFP.solve ~entries ~transfer () in
+             ( FFP.H.fold (fun n st acc -> (n, st) :: acc) r.FFP.state [],
+               r.FFP.stats )))
+
+let prop_last_transfer_widening =
+  QCheck.Test.make ~count:500
+    ~name:"last transfer carries the final state (widening domain)" arb_graph
+    (fun g ->
+       last_transfer_holds ~equal:Count.equal
+         ~add:(fun st w ->
+             match st with
+             | Count.Inf -> Count.Inf
+             | Count.Bounded k -> Count.Bounded (k + w))
+         (Count.Bounded 0) g
+         ~solve:(fun ~entries ~transfer ->
+             let r = CFP.solve ~entries ~transfer () in
+             ( CFP.H.fold (fun n st acc -> (n, st) :: acc) r.CFP.state [],
+               r.CFP.stats )))
+
+(* run a property, then require that it met [counter] on some graph *)
+let non_vacuous ~rand what counter prop =
+  let name, speed, run = QCheck_alcotest.to_alcotest ~rand prop in
+  ( name, speed,
+    fun () ->
+      counter := 0;
+      run ();
+      Alcotest.(check bool) (what ^ " on some graph") true (!counter > 0) )
+
+(* --- chain index ------------------------------------------------------------ *)
+
+(* A duplicated label name resolves to its first binding, as
+   List.assoc_opt on f_labels does, for lookups and for the
+   displacement-target list alike. *)
+let test_index_first_label () =
+  let f =
+    { Ropc.Audit.f_name = "dup"; f_sym_addr = 0x400000L; f_sym_size = 32;
+      f_stub_len = 16; f_chain_base = 0xA00000L; f_chain_len = 24;
+      f_layout =
+        [| (0, Ropc.Chain.S_label "L");
+           (0, Ropc.Chain.S_gadget 0x401000L);
+           (8, Ropc.Chain.S_disp { target = "L"; anchor = "A"; bias = 0L });
+           (16, Ropc.Chain.S_anchor "A");
+           (16, Ropc.Chain.S_label "L");
+           (16, Ropc.Chain.S_gadget 0x401008L) |];
+      f_labels = [ ("L", 0); ("A", 16); ("L", 16) ];
+      f_points = []; f_tables = []; f_p1 = None }
+  in
+  let ix = Verify.Index.chain f in
+  Alcotest.(check (option int)) "first binding of L" (Some 0)
+    (Verify.Index.label ix "L");
+  Alcotest.(check (option int)) "same as List.assoc_opt"
+    (List.assoc_opt "L" f.Ropc.Audit.f_labels) (Verify.Index.label ix "L");
+  Alcotest.(check (option int)) "A" (Some 16) (Verify.Index.label ix "A");
+  Alcotest.(check (list int)) "displacement target uses the first binding"
+    [ 0 ] ix.Verify.Index.targets;
+  Alcotest.(check bool) "marker at 16 shadows no slot" true
+    (Verify.Index.slot8 ix 16 = Some (Ropc.Chain.S_gadget 0x401008L))
 
 (* --- stack discipline ----------------------------------------------------- *)
 
@@ -232,12 +362,21 @@ let test_driver_end_to_end () =
     [ "stackdisc"; "transval"; "stealth"; "poolbloat" ] passes
 
 let () =
+  Printf.printf "fixpoint properties: QCHECK_SEED=%d\n%!" qcheck_seed;
+  let rand = Random.State.make [| qcheck_seed |] in
   Alcotest.run "staticanalysis"
     [ ("fixpoint",
        [ Alcotest.test_case "widening terminates a counter cycle" `Quick
            test_widening_terminates;
          Alcotest.test_case "broken widening raises Divergence" `Quick
-           test_divergence_backstop ]);
+           test_divergence_backstop;
+         non_vacuous ~rand "a node transferred twice" retransferred
+           prop_last_transfer_flat;
+         non_vacuous ~rand "widening fired" widened
+           prop_last_transfer_widening ]);
+      ("index",
+       [ Alcotest.test_case "duplicated label keeps first binding" `Quick
+           test_index_first_label ]);
       ("stackdisc",
        [ Alcotest.test_case "clean chain has no errors" `Quick
            test_clean_chain_passes;

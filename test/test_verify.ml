@@ -152,7 +152,7 @@ let test_inject_gadget_mislabel () =
 let test_inject_live_clobber () =
   let r = rewrite fact_prog [ "fact" ] in
   let audit = r.Ropc.Rewriter.audit in
-  let _, summaries = Verify.Check.gadget_pass r.Ropc.Rewriter.image audit in
+  let gt = Verify.Index.gadgets audit in
   (* find a point and a register that its slots write but nothing excuses *)
   let pick (f : A.func) =
     List.find_map
@@ -162,8 +162,9 @@ let test_inject_live_clobber () =
              (fun acc (_, s) ->
                 match s with
                 | Ropc.Chain.S_gadget a ->
-                  (match Hashtbl.find_opt summaries a with
-                   | Some su -> R.union acc su.Verify.Summary.writes
+                  (match Verify.Index.gadget gt a with
+                   | Some g ->
+                     R.union acc g.Verify.Index.g_summary.Verify.Summary.writes
                    | None -> acc)
                 | _ -> acc)
              R.empty p.A.p_slots
@@ -242,7 +243,7 @@ let test_inject_p1_residue () =
   (match f.A.f_p1 with
    | None -> Alcotest.fail "config has P1 but no array was recorded"
    | Some (base, _, _) ->
-     (match Verify.Check.read64 img base with
+     (match Image.read_u64 img base with
       | Some v -> Image.patch img base 8 (Int64.add v 1L)
       | None -> Alcotest.fail "P1 array unreadable"));
   expect_kind "P1 residue" Verify.Diag.Chain_p1_invariant
@@ -262,9 +263,74 @@ let test_inject_opaque_residue () =
   expect_kind "opaque residue" Verify.Diag.Chain_byte_mismatch
     (Verify.Check.run r.Ropc.Rewriter.image r.Ropc.Rewriter.audit)
 
+(* --- Image.read_u64, the byte check's 8-byte read ------------------------- *)
+
+(* two adjacent sections, [0x1000, 0x1010) and [0x1010, 0x1018) *)
+let two_sections () =
+  let img = Image.create () in
+  ignore
+    (Image.add_section img ~name:"a" ~addr:0x1000L
+       ~data:(Bytes.init 16 (fun i -> Char.chr (0x10 + i)))
+       ~writable:false ~executable:false);
+  ignore
+    (Image.add_section img ~name:"b" ~addr:0x1010L
+       ~data:(Bytes.init 8 (fun i -> Char.chr (0xf0 + i)))
+       ~writable:false ~executable:false);
+  img
+
+let bytewise img addr =
+  let rec go i acc =
+    if i < 0 then Some acc
+    else
+      match Image.read_byte img (Int64.add addr (Int64.of_int i)) with
+      | None -> None
+      | Some b ->
+        go (i - 1) (Int64.logor (Int64.shift_left acc 8) (Int64.of_int b))
+  in
+  go 7 0L
+
+let test_read_u64 () =
+  let img = two_sections () in
+  Alcotest.(check (option int64)) "little-endian" (Some 0x1716151413121110L)
+    (Image.read_u64 img 0x1000L);
+  for k = 1 to 7 do
+    let addr = Int64.add 0x1008L (Int64.of_int k) in
+    Alcotest.(check (option int64))
+      (Printf.sprintf "straddle at +%d = byte-wise" k)
+      (bytewise img addr) (Image.read_u64 img addr);
+    Alcotest.(check bool) "straddle read is defined" true
+      (Image.read_u64 img addr <> None)
+  done;
+  Alcotest.(check (option int64)) "last word of the last section"
+    (Some 0xf7f6f5f4f3f2f1f0L) (Image.read_u64 img 0x1010L);
+  for k = 1 to 8 do
+    Alcotest.(check (option int64))
+      (Printf.sprintf "runs off the last section by %d" k) None
+      (Image.read_u64 img (Int64.add 0x1010L (Int64.of_int k)))
+  done;
+  Alcotest.(check (option int64)) "below every section" None
+    (Image.read_u64 img 0xff8L)
+
+(* read_window, stealth's pool read: byte for byte what read_byte gives,
+   0 outside every section *)
+let test_read_window () =
+  let img = two_sections () in
+  let w = Image.read_window img 0xff8L 40 in
+  for i = 0 to 39 do
+    let expect =
+      Option.value ~default:0
+        (Image.read_byte img (Int64.add 0xff8L (Int64.of_int i)))
+    in
+    Alcotest.(check int) (Printf.sprintf "byte %d" i) expect
+      (Char.code (Bytes.get w i))
+  done
+
 let () =
   Alcotest.run "verify"
-    [ ("positive",
+    [ ("image reads",
+       [ Alcotest.test_case "read_u64" `Quick test_read_u64;
+         Alcotest.test_case "read_window" `Quick test_read_window ]);
+ ("positive",
        [ Alcotest.test_case "config matrix verifies clean" `Quick
            test_matrix_clean;
          Alcotest.test_case "seed sweep verifies clean" `Quick
