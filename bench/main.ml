@@ -302,19 +302,6 @@ let json_of_results ~quick (wrs : workload_result list)
     (micro : (string * float option) list) =
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let jstr s =
-    let e = Buffer.create (String.length s + 2) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string e "\\\""
-        | '\\' -> Buffer.add_string e "\\\\"
-        | '\n' -> Buffer.add_string e "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string e (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char e c)
-      s;
-    Buffer.contents e
-  in
   let speedup wr a bname =
     let find n = List.find (fun (e : engine_result) -> e.name = n) wr.wr_engines in
     (find a).ns_per_step /. (find bname).ns_per_step
@@ -326,13 +313,13 @@ let json_of_results ~quick (wrs : workload_result list)
   List.iteri
     (fun i wr ->
        pf "    {\n";
-       pf "      \"name\": \"%s\",\n" (jstr wr.wr_name);
+       pf "      \"name\": \"%s\",\n" (Obs.Json.escape wr.wr_name);
        pf "      \"steps\": %d,\n" wr.wr_steps;
        pf "      \"engines\": {\n";
        List.iteri
          (fun j (e : engine_result) ->
             pf "        \"%s\": { \"ns_per_step\": %.2f, \"steps_per_sec\": %.0f }%s\n"
-              (jstr e.name) e.ns_per_step
+              (Obs.Json.escape e.name) e.ns_per_step
               (1e9 /. e.ns_per_step)
               (if j = List.length wr.wr_engines - 1 then "" else ","))
          wr.wr_engines;
@@ -342,7 +329,7 @@ let json_of_results ~quick (wrs : workload_result list)
        pf "      \"equality\": \"%s\"\n"
          (match wr.wr_equal with
           | Ok () -> "ok"
-          | Error m -> jstr ("mismatch: " ^ m));
+          | Error m -> Obs.Json.escape ("mismatch: " ^ m));
        pf "    }%s\n" (if i = List.length wrs - 1 then "" else ",")
     )
     wrs;
@@ -356,7 +343,7 @@ let json_of_results ~quick (wrs : workload_result list)
   pf "  \"microbench_ns_per_run\": [\n";
   List.iteri
     (fun i (n, est) ->
-       pf "    { \"name\": \"%s\", \"ns\": %s }%s\n" (jstr n)
+       pf "    { \"name\": \"%s\", \"ns\": %s }%s\n" (Obs.Json.escape n)
          (match est with Some e -> Printf.sprintf "%.0f" e | None -> "null")
          (if i = List.length micro - 1 then "" else ","))
     micro;

@@ -14,7 +14,7 @@ dune runtest
 echo "== static chain verification (full corpus, Table I/II matrix) =="
 dune build @check
 
-echo "== parallel smoke (@jobs: difftest --jobs 3 + ropcheck --jobs 4) =="
+echo "== parallel smoke (@jobs: difftest --jobs 3; ropcheck and roplint output at --jobs 1 = --jobs N) =="
 dune build @jobs
 
 echo "== static-analysis lint (@lint: roplint matrix, 100% proven gate + fault injection) =="

@@ -1,12 +1,33 @@
-(* Minimal JSON reader.
+(* Minimal JSON: one string escaper for every writer, and a reader.
 
-   The repo emits JSON by hand (lib/jobs/manifest.ml, bench/main.ml,
-   Trace.to_json) and, with this module, can read it back without an
-   external dependency: the trace schema validator re-parses what
-   Trace.to_json wrote, and bench/main.exe reads the committed
-   BENCH_emulator.json baseline for its regression gate.  It is a strict
-   recursive-descent parser over the full document — no streaming, no
-   extensions beyond standard JSON. *)
+   The repo writes its JSON with [Printf]/[Buffer] (lib/jobs/manifest.ml,
+   Trace.to_json, the campaign, serve and verify reports, bench/main.ml);
+   [escape] is the one string escaper they all share.  [parse] reads such
+   output back without an external dependency: the trace schema validator
+   re-parses what Trace.to_json wrote, and bench/main.exe reads the
+   committed BENCH_emulator.json baseline for its regression gate.  It is a
+   strict recursive-descent parser over the full document — no streaming,
+   no extensions beyond standard JSON. *)
+
+(* Escape [s] for use between double quotes: quote, backslash, newline,
+   carriage return and tab get their two-character forms, every other
+   control byte is [\u00XX], and bytes >= 0x20 (UTF-8 included) pass
+   through untouched, so [parse] returns [s] byte for byte. *)
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+       match c with
+       | '"' -> Buffer.add_string b "\\\""
+       | '\\' -> Buffer.add_string b "\\\\"
+       | '\n' -> Buffer.add_string b "\\n"
+       | '\r' -> Buffer.add_string b "\\r"
+       | '\t' -> Buffer.add_string b "\\t"
+       | c when Char.code c < 0x20 ->
+         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+       | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 type t =
   | Null

@@ -43,17 +43,6 @@ let in_text img a =
     && Int64.compare a (Image.section_end s) < 0
   | None -> false
 
-let read64 img a =
-  let rec bytes k acc =
-    if k < 0 then Some acc
-    else
-      match Image.read_byte img (Int64.add a (Int64.of_int k)) with
-      | Some b ->
-        bytes (k - 1) (Int64.logor (Int64.shift_left acc 8) (Int64.of_int b))
-      | None -> None
-  in
-  bytes 7 0L
-
 (* decode the gadget at [a]: instructions up to ret / jmp-reg *)
 let decode_gadget ~config img a =
   let text = Image.section_exn img ".text" in
@@ -99,7 +88,7 @@ let analyze ?(config = default_config) (img : Image.t) ~chain_addr ~chain_len =
       let off = ref entry in
       let continue_ = ref true in
       while !continue_ do
-        match read64 img (Int64.add chain_addr !off) with
+        match Image.read_u64 img (Int64.add chain_addr !off) with
         | None -> continue_ := false
         | Some slot ->
           if not (in_text img slot) then continue_ := false
@@ -115,7 +104,7 @@ let analyze ?(config = default_config) (img : Image.t) ~chain_addr ~chain_len =
                 (fun i ->
                    match i with
                    | Pop (Reg r) ->
-                     (match read64 img (Int64.add chain_addr !off) with
+                     (match Image.read_u64 img (Int64.add chain_addr !off) with
                       | Some v when in_chain !off ->
                         aset st r (A_popped v)
                       | Some _ | None -> aset st r A_top);
@@ -206,7 +195,7 @@ let gadget_guess ?(config = default_config) ?(stride = 1) (img : Image.t)
   let count = ref 0 in
   let off = ref 0 in
   while !off + 8 <= chain_len do
-    (match read64 img (Int64.add chain_addr (Int64.of_int !off)) with
+    (match Image.read_u64 img (Int64.add chain_addr (Int64.of_int !off)) with
      | Some v when in_text img v ->
        (match decode_gadget ~config img v with
         | Some _ ->

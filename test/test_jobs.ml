@@ -264,6 +264,110 @@ let test_cache_skips_recompute () =
   Alcotest.(check bool) "manifest JSON reports cache hits" true
     (contains ~sub:"\"cache_hits\":8" s)
 
+(* --- SIGINT during a parallel map -------------------------------------------- *)
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_parallel_sigint () =
+  (* job 0 interrupts the parent itself, so the signal always lands while
+     the other workers are asleep mid-job: no timing window to miss *)
+  let f i =
+    if i = 0 then Unix.kill (Unix.getppid ()) Sys.sigint
+    else Unix.sleepf 30.0
+  in
+  let path = Filename.concat (tmpdir ()) "manifest.json" in
+  let t0 = Unix.gettimeofday () in
+  let code =
+    Jobs.Pool.with_manifest (Some path) (fun m ->
+        ignore
+          (Jobs.Pool.map
+             { Jobs.Pool.default with Jobs.Pool.jobs = 3; manifest = Some m }
+             ~key:string_of_int ~f (List.init 4 Fun.id));
+        0)
+  in
+  Alcotest.(check int) "exit code 128 + SIGINT" 130 code;
+  Alcotest.(check bool) "did not wait for the sleepers" true
+    (Unix.gettimeofday () -. t0 < 10.0);
+  Alcotest.(check bool) "every worker reaped" true
+    (match Unix.wait () with
+     | _ -> false
+     | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true);
+  let ic = open_in path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check bool) "partial manifest marked interrupted" true
+    (contains ~sub:"\"interrupted\":true" s)
+
+(* --- the resident pool ------------------------------------------------------ *)
+
+(* Submit one task and poll until its job comes back (at most ~20 s). *)
+let run_one p task =
+  let ticket =
+    match Jobs.Persist.try_submit p task with
+    | Some t -> t
+    | None -> Alcotest.fail "no idle worker"
+  in
+  let rec go k =
+    match Jobs.Persist.poll p ~timeout_s:0.5 with
+    | [ j ] ->
+      Alcotest.(check int) "ticket" ticket j.Jobs.Persist.j_ticket;
+      j
+    | [] when k > 0 -> go (k - 1)
+    | js -> Alcotest.failf "collected %d jobs" (List.length js)
+  in
+  go 40
+
+let with_persist ?timeout_s ~jobs f k =
+  let p = Jobs.Persist.create ?timeout_s ~jobs f in
+  Fun.protect ~finally:(fun () -> Jobs.Persist.shutdown p) (fun () -> k p)
+
+let test_persist_death () =
+  with_persist ~jobs:2 (fun i -> if i = 0 then Unix._exit 9 else i) (fun p ->
+      let j = run_one p 0 in
+      (match j.Jobs.Persist.j_outcome with
+       | Jobs.Persist.Failed m ->
+         Alcotest.(check bool) "exit status reported" true
+           (contains ~sub:"exit 9" m)
+       | _ -> Alcotest.fail "a dead worker's job must fail");
+      Alcotest.(check bool) "death told apart from an exception" true
+        j.Jobs.Persist.j_died;
+      Alcotest.(check int) "replacement restores capacity"
+        (Jobs.Persist.size p) (Jobs.Persist.idle p);
+      Alcotest.(check bool) "the replacement works" true
+        ((run_one p 5).Jobs.Persist.j_outcome = Jobs.Persist.Done 5))
+
+let test_persist_timeout () =
+  with_persist ~timeout_s:0.2 ~jobs:1 (fun s -> Unix.sleepf s; s) (fun p ->
+      let j = run_one p 30.0 in
+      (match j.Jobs.Persist.j_outcome with
+       | Jobs.Persist.Timed_out t ->
+         Alcotest.(check bool) "ran at least the budget" true (t >= 0.19)
+       | _ -> Alcotest.fail "the sleeper should have timed out");
+      Alcotest.(check bool) "a timeout is not a death" false
+        j.Jobs.Persist.j_died;
+      Alcotest.(check int) "pool keeps its capacity" 1 (Jobs.Persist.idle p);
+      Alcotest.(check bool) "the replacement works" true
+        ((run_one p 0.0).Jobs.Persist.j_outcome = Jobs.Persist.Done 0.0))
+
+let test_persist_warm_state () =
+  (* the counter lives in [f]'s closure inside the one worker: it only
+     counts up if the worker outlives each job *)
+  let n = ref 0 in
+  with_persist ~jobs:1 (fun () -> incr n; !n) (fun p ->
+      let got =
+        List.map
+          (fun () ->
+             match (run_one p ()).Jobs.Persist.j_outcome with
+             | Jobs.Persist.Done v -> v
+             | _ -> Alcotest.fail "job failed")
+          [ (); (); () ]
+      in
+      Alcotest.(check (list int)) "warm state survives across jobs"
+        [ 1; 2; 3 ] got)
+
 let () =
   Alcotest.run "jobs"
     [ ("cache",
@@ -287,4 +391,11 @@ let () =
          Alcotest.test_case "timeout SIGKILL" `Quick test_timeout_kill ]);
       ("cache+pool",
        [ Alcotest.test_case "cache skips recompute" `Quick
-           test_cache_skips_recompute ]) ]
+           test_cache_skips_recompute ]);
+      ("interrupt",
+       [ Alcotest.test_case "parallel SIGINT" `Quick test_parallel_sigint ]);
+      ("persist",
+       [ Alcotest.test_case "worker death" `Quick test_persist_death;
+         Alcotest.test_case "timeout via poll" `Quick test_persist_timeout;
+         Alcotest.test_case "warm state across jobs" `Quick
+           test_persist_warm_state ]) ]

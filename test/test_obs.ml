@@ -255,6 +255,18 @@ let test_json_parser () =
   err "\"unterminated";
   err ""
 
+(* Every byte value survives [escape] then [parse]: control bytes come back
+   from their escapes, 0x7f and the high half pass through raw. *)
+let test_escape_roundtrip () =
+  let all = String.init 256 Char.chr in
+  let doc = "\"" ^ J.escape all ^ "\"" in
+  Alcotest.(check bool) "no raw control byte in the output" true
+    (String.for_all (fun c -> Char.code c >= 0x20) doc);
+  match J.parse doc with
+  | Ok (J.Str s) -> Alcotest.(check string) "0x00-0xff unchanged" all s
+  | Ok _ -> Alcotest.fail "not a string"
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "obs"
     [ ("metrics",
@@ -272,4 +284,6 @@ let () =
            test_trace_json_roundtrip;
          Alcotest.test_case "schema rejections" `Quick test_schema_rejects ]);
       ("json",
-       [ Alcotest.test_case "parser" `Quick test_json_parser ]) ]
+       [ Alcotest.test_case "parser" `Quick test_json_parser;
+         Alcotest.test_case "escape round-trip" `Quick
+           test_escape_roundtrip ]) ]
